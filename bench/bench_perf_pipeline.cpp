@@ -209,16 +209,15 @@ int run_chaos_smoke() {
   return ok ? 0 : 1;
 }
 
-/// `--solver-matrix` smoke mode: runs a reduced grid through all three
-/// solver backends and proves the equivalence contract end to end — the
+/// `--solver-matrix` smoke mode: runs a reduced grid through both solver
+/// backends and proves the equivalence contract end to end — the
 /// CSVs are byte-identical, the batched backend actually amortizes
 /// factorizations (analog.refactor_avoided > 0), and every lane is
 /// accounted. Registered as the ctest test `bench_solver_smoke` so tier-1
 /// exercises the solver matrix on every build.
 int run_solver_smoke() {
   bench::print_header("perf_pipeline --solver-matrix",
-                      "solver backend equivalence smoke (exact/incremental/"
-                      "batched)");
+                      "solver backend equivalence smoke (exact/batched)");
   metrics::set_enabled(true);
 
   estimator::CharacterizeSpec spec = bench_spec();
@@ -236,7 +235,6 @@ int run_solver_smoke() {
   };
   std::vector<ModeRun> runs;
   for (const auto mode : {analog::SolverMode::Exact,
-                          analog::SolverMode::Incremental,
                           analog::SolverMode::Batched}) {
     metrics::reset();
     spec.solver = mode;
@@ -259,41 +257,42 @@ int run_solver_smoke() {
   }
   metrics::reset();
 
-  const bool identical = runs[1].csv == runs[0].csv && runs[2].csv == runs[0].csv;
-  const bool amortized = runs[2].avoided > 0 && runs[1].avoided > 0;
-  const bool lanes_ran = runs[2].lanes > 0 &&
-                         runs[0].lanes == 0;  // exact never batches
+  const ModeRun& exact = runs[0];
+  const ModeRun& batched = runs[1];
+  const bool identical = batched.csv == exact.csv;
+  const bool amortized = batched.avoided > 0;
+  const bool lanes_ran = batched.lanes > 0 &&
+                         exact.lanes == 0;  // exact never batches
   // Amortization quality, not just existence: the share of factorizations
   // the batched backend avoided. A solver regression that quietly falls
   // back to per-lane refactorization keeps avoided > 0 but craters the
   // rate, so the floor makes it fail loudly here instead of surfacing as
   // an unexplained wall-clock drift.
   const double avoided_rate =
-      runs[2].avoided + runs[2].refactorizations > 0
-          ? static_cast<double>(runs[2].avoided) /
-                static_cast<double>(runs[2].avoided + runs[2].refactorizations)
+      batched.avoided + batched.refactorizations > 0
+          ? static_cast<double>(batched.avoided) /
+                static_cast<double>(batched.avoided + batched.refactorizations)
           : 0.0;
   const bool rate_floor = avoided_rate >= 0.5;
   std::printf("\nShape checks:\n");
   std::printf("  CSVs byte-identical across solvers ........ %s\n",
               identical ? "HOLDS" : "DEVIATES");
-  std::printf("  batched/incremental avoid refactorizations  %s\n",
+  std::printf("  batched avoids refactorizations ........... %s\n",
               amortized ? "HOLDS" : "DEVIATES");
-  std::printf("  lanes batched only in lockstep modes ...... %s\n",
+  std::printf("  lanes batched only in lockstep mode ....... %s\n",
               lanes_ran ? "HOLDS" : "DEVIATES");
   std::printf("  batched avoided-refactor rate >= 0.5 ...... %s (%.3f)\n",
               rate_floor ? "HOLDS" : "DEVIATES", avoided_rate);
   const bool ok = identical && amortized && lanes_ran && rate_floor;
   std::printf("\nBENCH_JSON {\"bench\":\"perf_pipeline_solver\","
-              "\"solver_exact_s\":%.4f,\"solver_incremental_s\":%.4f,"
+              "\"solver_exact_s\":%.4f,"
               "\"solver_batched_s\":%.4f,\"solver_speedup\":%.3f,"
               "\"refactor_avoided\":%lld,\"refactor_avoided_rate\":%.4f,"
               "\"batch_lanes\":%lld,\"lane_ejections\":%lld,"
               "\"solver_csv_identical\":%s,\"ok\":%s}\n",
-              runs[0].seconds, runs[1].seconds, runs[2].seconds,
-              runs[0].seconds / runs[2].seconds, runs[2].avoided, avoided_rate,
-              runs[2].lanes, runs[2].ejections, identical ? "true" : "false",
-              ok ? "true" : "false");
+              exact.seconds, batched.seconds, exact.seconds / batched.seconds,
+              batched.avoided, avoided_rate, batched.lanes, batched.ejections,
+              identical ? "true" : "false", ok ? "true" : "false");
   return ok ? 0 : 1;
 }
 
@@ -407,19 +406,18 @@ int main(int argc, char** argv) {
   // --- Layer 4: the analog solver backends (ISSUE-6), exact vs lockstep. ---
   // Timed single-threaded so the comparison isolates the kernel, not the
   // fan-out; the per-mode Newton/refactorization counts ride along in ops.
-  double solver_s[3] = {0.0, 0.0, 0.0};
-  long long solver_newton[3] = {0, 0, 0};
-  long long solver_refactor[3] = {0, 0, 0};
+  double solver_s[2] = {0.0, 0.0};
+  long long solver_newton[2] = {0, 0};
+  long long solver_refactor[2] = {0, 0};
   long long solver_avoided = 0, solver_ejections = 0, solver_lanes = 0;
   bool solver_identical = true;
   {
-    const analog::SolverMode modes[3] = {analog::SolverMode::Exact,
-                                         analog::SolverMode::Incremental,
+    const analog::SolverMode modes[2] = {analog::SolverMode::Exact,
                                          analog::SolverMode::Batched};
     const bool ambient = metrics::enabled();
     metrics::set_enabled(true);
     std::string reference;
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < 2; ++m) {
       estimator::CharacterizeSpec solver_spec = bench_spec();
       solver_spec.threads = 1;
       solver_spec.solver = modes[m];
@@ -442,10 +440,9 @@ int main(int argc, char** argv) {
     }
     metrics::reset();
     metrics::set_enabled(ambient);
-    std::printf("solver backends (1 thread): exact %.3f s, incremental %.3f s "
-                "(%.2fx), batched %.3f s (%.2fx)  csv %s\n\n",
+    std::printf("solver backends (1 thread): exact %.3f s, batched %.3f s "
+                "(%.2fx)  csv %s\n\n",
                 solver_s[0], solver_s[1], solver_s[0] / solver_s[1],
-                solver_s[2], solver_s[0] / solver_s[2],
                 solver_identical ? "IDENTICAL" : "MISMATCH");
   }
 
@@ -497,7 +494,7 @@ int main(int argc, char** argv) {
       "\"study_speedup\":%.3f,\"study_identical\":%s,"
       "\"lookup_queries\":%zu,\"lookup_linear_s\":%.6f,"
       "\"lookup_indexed_s\":%.6f,\"lookup_speedup\":%.3f,"
-      "\"solver_exact_s\":%.4f,\"solver_incremental_s\":%.4f,"
+      "\"solver_exact_s\":%.4f,"
       "\"solver_batched_s\":%.4f,\"solver_speedup\":%.3f,"
       "\"solver_newton_exact\":%lld,\"solver_newton_batched\":%lld,"
       "\"solver_refactorizations_exact\":%lld,"
@@ -514,12 +511,12 @@ int main(int argc, char** argv) {
       csv_identical ? "true" : "false", study_config.device_count,
       study_serial_s, study_parallel_s, study_speedup,
       study_identical ? "true" : "false", queries.size(), lookup_linear_s,
-      lookup_indexed_s, lookup_speedup, solver_s[0], solver_s[1], solver_s[2],
-      solver_s[0] / solver_s[2], solver_newton[0], solver_newton[2],
-      solver_refactor[0], solver_refactor[2], solver_avoided,
-      solver_avoided + solver_refactor[2] > 0
+      lookup_indexed_s, lookup_speedup, solver_s[0], solver_s[1],
+      solver_s[0] / solver_s[1], solver_newton[0], solver_newton[1],
+      solver_refactor[0], solver_refactor[1], solver_avoided,
+      solver_avoided + solver_refactor[1] > 0
           ? static_cast<double>(solver_avoided) /
-                static_cast<double>(solver_avoided + solver_refactor[2])
+                static_cast<double>(solver_avoided + solver_refactor[1])
           : 0.0,
       solver_lanes, solver_ejections, solver_identical ? "true" : "false",
       count_of(report, "analog.transients"), count_of(report, "analog.steps"),

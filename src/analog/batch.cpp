@@ -16,7 +16,6 @@ namespace memstress::analog {
 const char* solver_mode_name(SolverMode mode) {
   switch (mode) {
     case SolverMode::Exact: return "exact";
-    case SolverMode::Incremental: return "incremental";
     case SolverMode::Batched: return "batched";
   }
   return "unknown";
@@ -24,10 +23,9 @@ const char* solver_mode_name(SolverMode mode) {
 
 SolverMode parse_solver_mode(const std::string& text) {
   if (text == "exact") return SolverMode::Exact;
-  if (text == "incremental") return SolverMode::Incremental;
   if (text == "batched") return SolverMode::Batched;
   throw Error("unknown solver mode '" + text +
-              "' (expected exact, incremental or batched)");
+              "' (expected exact or batched)");
 }
 
 SolverMode solver_mode_from_env() {
@@ -37,7 +35,8 @@ SolverMode solver_mode_from_env() {
       return parse_solver_mode(raw);
     } catch (const Error&) {
       log_warn("MEMSTRESS_SOLVER=", raw,
-               " is not a solver mode; using the default (batched)");
+               " is not a solver mode (expected exact or batched); "
+               "using the default (batched)");
       return SolverMode::Batched;
     }
   }();
@@ -64,12 +63,8 @@ metrics::Counter& lane_ejection_counter() {
 }  // namespace
 
 BatchSimulator::BatchSimulator(const Netlist& netlist, SweptElement swept,
-                               std::vector<double> lane_values,
-                               BatchOptions options)
-    : net_(netlist),
-      swept_(swept),
-      values_(std::move(lane_values)),
-      options_(options) {
+                               std::vector<double> lane_values)
+    : net_(netlist), swept_(swept), values_(std::move(lane_values)) {
   require(!values_.empty(), "BatchSimulator: at least one lane required");
   if (swept_.kind == SweptElement::Kind::ResistorOhms) {
     require(swept_.index < net_.resistors().size(),
@@ -104,7 +99,6 @@ struct Runner {
   const std::vector<double>& values;
   const TransientSpec& spec;
   const std::size_t lanes, num_nodes, num_unknowns;
-  const bool share_jacobian;
   std::vector<MosParams> run_params;
   std::vector<std::pair<std::string, double>> initial;
 
@@ -129,11 +123,10 @@ struct Runner {
   std::vector<std::string> error;
 
   // --- shared linear algebra ------------------------------------------
-  /// Jacobian slots, one per lane. In the shared mode lanes cluster onto a
+  /// Jacobian slots, one per lane. On a resistor sweep lanes cluster onto a
   /// few of them (slot_of) and bridge the swept-value difference with a
-  /// Sherman–Morrison update; in the per-lane mode (incremental / vbd
-  /// sweeps, where the lane difference is not a rank-1 stamp) each lane uses
-  /// exactly its own slot.
+  /// Sherman–Morrison update; on a vbd sweep, where the lane difference is
+  /// not a rank-1 stamp, each lane uses exactly its own slot.
   struct Slot {
     LuWorkspace ws;
     bool valid = false;
@@ -178,7 +171,7 @@ struct Runner {
 
   Runner(Netlist& net_in, SweptElement swept_in,
          const std::vector<double>& values_in, const TransientSpec& spec_in,
-         std::size_t num_nodes_in, std::size_t num_unknowns_in, bool share,
+         std::size_t num_nodes_in, std::size_t num_unknowns_in,
          std::vector<std::pair<std::string, double>> initial_in)
       : net(net_in),
         swept(swept_in),
@@ -187,8 +180,6 @@ struct Runner {
         lanes(values_in.size()),
         num_nodes(num_nodes_in),
         num_unknowns(num_unknowns_in),
-        share_jacobian(share && swept_in.kind ==
-                                    SweptElement::Kind::ResistorOhms),
         initial(std::move(initial_in)) {
     run_params.reserve(net.mosfets().size());
     for (const auto& m : net.mosfets())
@@ -212,9 +203,9 @@ struct Runner {
     stats.resize(lanes);
     failure.assign(lanes, SolverFailure::NewtonNonConvergence);
     error.resize(lanes);
-    // One slot per lane in both modes. Shared mode clusters lanes onto a few
-    // of them (slot_of) and bridges the swept-value difference with a rank-1
-    // update; slot l is simply where lane l's own-state refresh lands.
+    // One slot per lane on every sweep. A resistor sweep clusters lanes onto
+    // a few of them (slot_of) and bridges the swept-value difference with a
+    // rank-1 update; slot l is simply where lane l's own-state refresh lands.
     slots.resize(lanes);
     a_lin.resize(num_unknowns);
     a_scratch.resize(num_unknowns);
@@ -387,8 +378,8 @@ struct Runner {
     for (std::size_t u = 0; u < num_unknowns; ++u) soa[at(u, l)] = in[u];
   }
 
-  /// Factor slot `s` at reference lane `ref`'s value and state, and (in the
-  /// shared mode) register the rank-1 bridge direction for the other lanes.
+  /// Factor slot `s` at reference lane `ref`'s value and state, and (on a
+  /// resistor sweep) register the rank-1 bridge direction for the other lanes.
   /// Returns false on a singular Jacobian.
   bool refresh(Slot& slot, std::size_t ref, double t, double dt) {
     retarget(values[ref]);
@@ -403,7 +394,7 @@ struct Runner {
     }
     slot.state.assign(lane_vec.begin(),
                       lane_vec.begin() + static_cast<long>(num_nodes));
-    if (share_jacobian) {
+    if (swept_resistor()) {
       const auto& r = net.resistors()[swept.index];
       std::vector<std::pair<std::size_t, double>> u;
       if (r.a != kGround) u.emplace_back(idx(r.a), +1.0);
@@ -449,7 +440,7 @@ struct Runner {
   ///  1. The lane's assigned slot (usually stale). Trusted for small moves;
   ///     the exact-residual convergence test keeps a stale factor honest.
   ///  2. Any slot factored *this iteration* whose assembly state is within
-  ///     kNearState of this lane (shared mode): trusted even for large
+  ///     kNearState of this lane (resistor sweeps): trusted even for large
   ///     moves, so one refresh serves a whole cluster of lanes riding the
   ///     same common-mode swing.
   ///  3. The lane's own freshly assembled Jacobian, solved exactly like
@@ -474,7 +465,7 @@ struct Runner {
   bool solve_lane(std::size_t l, double t, double dt,
                   const double* block_delta = nullptr,
                   std::size_t block_stride = 1) {
-    Slot* slot = &slots[share_jacobian ? slot_of[l] : l];
+    Slot* slot = &slots[swept_resistor() ? slot_of[l] : l];
     bool solved = false;
     if (block_delta != nullptr) {
       // Rung 1 was already computed by the cluster's blocked solve.
@@ -484,7 +475,7 @@ struct Runner {
     } else if (slot->valid && !is_stalled(l, *slot)) {
       gather(residual, l, lane_vec);
       for (double& x : lane_vec) x = -x;
-      if (share_jacobian) {
+      if (swept_resistor()) {
         const double dg = 1.0 / values[l] - slot->g_ref;
         // A false return (Sherman–Morrison denominator guard) falls through
         // to the own-Jacobian rung below.
@@ -504,7 +495,7 @@ struct Runner {
     bool trusted =
         solved && (worst <= kLargeMove ||
                    (slot->fresh && distance_to_slot(*slot, l) <= kNearState));
-    if (!trusted && share_jacobian) {
+    if (!trusted && swept_resistor()) {
       // Rung 2: adopt a cluster-mate's fresh factorization.
       for (std::size_t s = 0; s < slots.size() && !trusted; ++s) {
         Slot& cand = slots[s];
@@ -525,7 +516,7 @@ struct Runner {
       // Rung 3: the exact scalar Newton map from this lane's own state.
       Slot& own = slots[l];
       if (!refresh(own, l, t, dt)) return false;
-      if (share_jacobian) slot_of[l] = l;
+      if (swept_resistor()) slot_of[l] = l;
       slot = &own;
       // refresh() left a_scratch/rhs_scratch assembled at this lane's
       // state; solve for the next iterate directly, like the scalar path.
@@ -572,7 +563,7 @@ struct Runner {
       bool all_done = true;
       for (std::size_t l = 0; l < lanes; ++l) {
         if (converged[l]) continue;
-        const Slot& slot = slots[share_jacobian ? slot_of[l] : l];
+        const Slot& slot = slots[swept_resistor() ? slot_of[l] : l];
         if (slot.valid) {
           double worst = 0.0;
           for (std::size_t u = 0; u < num_unknowns; ++u)
@@ -593,7 +584,7 @@ struct Runner {
       // sweeps read the LU once for the whole cluster. Stalled lanes and
       // lanes on invalid slots skip the block (their rung 1 would be
       // discarded anyway) and go through the individual ladder below.
-      if (share_jacobian) {
+      if (swept_resistor()) {
         // Clusters form naturally through rung-2 adoption: when a lane
         // borrows a neighbor's fresh factorization, slot_of records the
         // adoption, and on later iterations every lane still assigned to
@@ -698,8 +689,7 @@ std::vector<LaneResult> BatchSimulator::run(
     lanes_c.add(static_cast<long>(values_.size()));
   }
 
-  Runner r(net_, swept_, values_, spec, num_nodes_, num_unknowns_,
-           options_.share_jacobian, initial_);
+  Runner r(net_, swept_, values_, spec, num_nodes_, num_unknowns_, initial_);
   r.seed_state();
 
   std::vector<long> record_index;

@@ -13,6 +13,9 @@
 //    symmetric rank-1 difference, applied exactly with Sherman–Morrison via
 //    LuWorkspace) and across iterations / steps while it keeps working —
 //    quiescent clock phases converge without a single refactorization.
+//    A breakdown-voltage sweep is not a rank-1 stamp difference, so there
+//    every lane keeps its own factorization (still reused across iterations
+//    and steps); which of the two applies follows from the swept element.
 //  * Convergence is judged per lane with both the classic |dv| < vtol test
 //    and a row-scaled residual check, so a stale or neighboring-lane
 //    Jacobian can never fake convergence: the residual is evaluated against
@@ -42,14 +45,13 @@ namespace memstress::analog {
 /// Solver backend selection for R-axis sweeps, settable per characterize
 /// call and via the MEMSTRESS_SOLVER environment knob.
 enum class SolverMode {
-  Exact,        ///< scalar Simulator per grid point (the pre-batching path)
-  Incremental,  ///< lockstep lanes, per-lane Jacobians reused while they work
-  Batched,      ///< lockstep + shared reference Jacobian + Sherman–Morrison
+  Exact,    ///< scalar Simulator per grid point (the reference oracle)
+  Batched,  ///< lockstep lanes through BatchSimulator (the default)
 };
 
 const char* solver_mode_name(SolverMode mode);
 
-/// Parse "exact" / "incremental" / "batched"; throws Error on anything else.
+/// Parse "exact" / "batched"; throws Error on anything else.
 SolverMode parse_solver_mode(const std::string& text);
 
 /// The MEMSTRESS_SOLVER environment knob, read once per process and cached
@@ -66,14 +68,6 @@ struct SweptElement {
   };
   Kind kind = Kind::ResistorOhms;
   std::size_t index = 0;
-};
-
-struct BatchOptions {
-  /// Share one reference-lane Jacobian across lanes (quasi-Newton with the
-  /// per-lane stamp applied by Sherman–Morrison). When false every lane
-  /// factors its own Jacobian but still reuses it across iterations and
-  /// steps while convergence holds — the "incremental" mode.
-  bool share_jacobian = true;
 };
 
 /// Per-lane outcome of a batched run. On failure (`ok == false`) the trace
@@ -95,7 +89,7 @@ struct LaneResult {
 class BatchSimulator {
  public:
   BatchSimulator(const Netlist& netlist, SweptElement swept,
-                 std::vector<double> lane_values, BatchOptions options = {});
+                 std::vector<double> lane_values);
 
   /// Initial node voltage, applied identically to every lane (UIC style,
   /// mirroring Simulator::set_initial).
@@ -107,13 +101,9 @@ class BatchSimulator {
                               const std::vector<std::string>& record);
 
  private:
-  struct Lane;
-  struct Group;
-
   Netlist net_;  // private copy; swept element retargeted per refresh
   SweptElement swept_;
   std::vector<double> values_;
-  BatchOptions options_;
   std::size_t num_nodes_ = 0;
   std::size_t num_unknowns_ = 0;
   std::vector<std::pair<std::string, double>> initial_;

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "analog/batch.hpp"
 #include "estimator/detectability.hpp"
 #include "tech/technology.hpp"
 
@@ -68,11 +67,9 @@ class TechnologyModel {
   virtual std::vector<estimator::GridPoint> build_grid(
       const estimator::CharacterizeSpec& spec) const = 0;
 
-  /// Build the per-sweep simulation state. `mode` is the resolved solver
-  /// mode (backends without a lockstep kernel may ignore it).
+  /// Build the per-sweep simulation state.
   virtual std::unique_ptr<SweepContext> make_context(
-      const estimator::CharacterizeSpec& spec,
-      analog::SolverMode mode) const = 0;
+      const estimator::CharacterizeSpec& spec) const = 0;
 
   /// Whether make_context()'s simulate_batch is a real lockstep kernel.
   /// false forces the per-point path in every solver mode, which also makes

@@ -145,7 +145,7 @@ class SttMramModel final : public TechnologyModel {
   }
 
   std::unique_ptr<SweepContext> make_context(
-      const CharacterizeSpec& spec, analog::SolverMode) const override {
+      const CharacterizeSpec& spec) const override {
     return std::make_unique<SttMramContext>(spec);
   }
 

@@ -125,7 +125,7 @@ class UndervoltModel final : public TechnologyModel {
   }
 
   std::unique_ptr<SweepContext> make_context(
-      const CharacterizeSpec& spec, analog::SolverMode) const override {
+      const CharacterizeSpec& spec) const override {
     return std::make_unique<UndervoltContext>(spec);
   }
 

@@ -1,6 +1,6 @@
 // Solver-mode equivalence contract for estimator::characterize(): the
-// exact, incremental and batched backends — at any thread count — must
-// produce byte-identical CSVs. The solver knob changes how the grid is
+// exact and batched backends — at any thread count — must produce
+// byte-identical CSVs. The solver knob changes how the grid is
 // integrated, never what it reports; a detected/escape flip between modes
 // is a correctness bug, not an accuracy tradeoff.
 #include <gtest/gtest.h>
@@ -38,7 +38,6 @@ TEST(CharacterizeModesDeterminism, CsvIdenticalAcrossSolversAndThreads) {
   ASSERT_FALSE(reference.empty());
 
   for (const auto mode : {analog::SolverMode::Exact,
-                          analog::SolverMode::Incremental,
                           analog::SolverMode::Batched}) {
     for (const int threads : {1, 8}) {
       if (mode == analog::SolverMode::Exact && threads == 1) continue;
@@ -54,10 +53,9 @@ TEST(CharacterizeModesDeterminism, CsvIdenticalAcrossSolversAndThreads) {
 
 TEST(CharacterizeModesDeterminism, SolverModeParsingRoundTrips) {
   EXPECT_EQ(analog::parse_solver_mode("exact"), analog::SolverMode::Exact);
-  EXPECT_EQ(analog::parse_solver_mode("incremental"),
-            analog::SolverMode::Incremental);
   EXPECT_EQ(analog::parse_solver_mode("batched"), analog::SolverMode::Batched);
   EXPECT_THROW(analog::parse_solver_mode("fast"), Error);
+  EXPECT_THROW(analog::parse_solver_mode("incremental"), Error);
   EXPECT_STREQ(analog::solver_mode_name(analog::SolverMode::Batched),
                "batched");
 }

@@ -47,27 +47,42 @@ void merge(const CharacterizeSpec& spec, const std::vector<GridPoint>& grid,
   }
 }
 
+/// Whether two grid points share a lockstep cell: the batched kernel sweeps
+/// one (kind, category, vdd, period) cell's whole R/vbd axis as lanes.
+bool same_cell(const GridPoint& a, const GridPoint& b) {
+  return a.entry.kind == b.entry.kind && a.entry.category == b.entry.category &&
+         a.entry.vdd == b.entry.vdd && a.entry.period == b.entry.period;
+}
+
 TEST(CharacterizeRange, ShardSplitsMergeToTheSingleNodeBytes) {
-  const CharacterizeSpec spec = tiny_spec();
+  // Two values per swept axis, so every cell is a multi-lane lockstep group
+  // whose verdicts differ along the axis at 1.0 V. Shards of 1, 2, 3 and 5
+  // points in turn put boundaries inside cells at several offsets: the
+  // batched kernel must give the same verdicts at any lane subset.
+  CharacterizeSpec spec = tiny_spec();
+  spec.vdds = {1.0};
+  spec.bridge_resistances = {1e3, 90e3};
+  spec.open_resistances = {3e4, 1e6};
+  spec.gox_vbds = {1.7, 1.925};
   const std::string full_csv = characterize(spec).to_csv();
   const std::vector<GridPoint> grid = characterize_grid(spec);
   ASSERT_GT(grid.size(), 4u);
 
-  for (const std::size_t shard : {std::size_t{1}, std::size_t{3},
-                                  grid.size()}) {
-    std::vector<PointVerdict> verdicts;
-    for (std::size_t begin = 0; begin < grid.size(); begin += shard) {
-      const std::size_t end = std::min(grid.size(), begin + shard);
-      const std::vector<PointVerdict> part =
-          characterize_range(spec, begin, end);
-      EXPECT_EQ(part.size(), end - begin);
-      verdicts.insert(verdicts.end(), part.begin(), part.end());
-    }
-    DetectabilityDb db;
-    merge(spec, grid, verdicts, db);
-    EXPECT_EQ(db.to_csv(), full_csv)
-        << "shard size " << shard << " changed the merged bytes";
+  const std::size_t widths[] = {1, 2, 3, 5};
+  std::size_t cells_cut = 0;
+  std::vector<PointVerdict> verdicts;
+  for (std::size_t begin = 0, k = 0; begin < grid.size(); ++k) {
+    const std::size_t end = std::min(grid.size(), begin + widths[k % 4]);
+    if (begin > 0 && same_cell(grid[begin - 1], grid[begin])) ++cells_cut;
+    const std::vector<PointVerdict> part = characterize_range(spec, begin, end);
+    EXPECT_EQ(part.size(), end - begin);
+    verdicts.insert(verdicts.end(), part.begin(), part.end());
+    begin = end;
   }
+  EXPECT_GE(cells_cut, 2u) << "the shard layout must split lockstep groups";
+  DetectabilityDb db;
+  merge(spec, grid, verdicts, db);
+  EXPECT_EQ(db.to_csv(), full_csv) << "the shard split changed the merged bytes";
 }
 
 TEST(CharacterizeRange, GridEnumerationMatchesTheDatabaseOrder) {

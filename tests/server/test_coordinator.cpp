@@ -49,6 +49,22 @@ TEST(ShardCodec, CharacterizeSpecRoundTripsWithEqualFingerprint) {
   ASSERT_TRUE(back.solver.has_value());
   EXPECT_EQ(*back.solver, analog::SolverMode::Exact);
   EXPECT_TRUE(back.checkpoint_path.empty());
+
+  // A solver name outside the two modes is a structured bad_request that
+  // names what is accepted, not a silent fallback to the default.
+  Json unknown_solver = Json::parse(json.dump());
+  unknown_solver.set("solver", Json("incremental"));
+  Json params = Json::object();
+  params.set("spec", std::move(unknown_solver));
+  params.set("begin", Json(0));
+  params.set("end", Json(1));
+  const std::string response = handle_line_inprocess(
+      *make_test_service(),
+      "{\"v\":1,\"id\":3,\"type\":\"characterize_range\",\"params\":" +
+          params.dump() + "}");
+  EXPECT_NE(response.find("bad_request"), std::string::npos) << response;
+  EXPECT_NE(response.find("expected exact or batched"), std::string::npos)
+      << response;
 }
 
 TEST(ShardCodec, StudyConfigRoundTrips) {
