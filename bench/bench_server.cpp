@@ -5,14 +5,12 @@
 // so — a fast server that answers wrong is a regression, not a win.
 //
 // Usage: bench_server [--smoke] [--clients N] [--requests M]
-//                     [--repeat | --batch | --connections N]
+//                     [--repeat | --connections N]
 //   --smoke    reduced load for the ctest smoke (seconds, not minutes)
 //   --repeat   result-cache mode: send distinct schedule requests once
 //              (cold), then repeat them (hot) and compare cold-path vs
 //              hit-path latency; every hot response is byte-checked against
 //              its cold twin
-//   --batch    framing mode: send the same request mix one-per-frame, then
-//              as batch frames, and compare items/second
 //   --connections N
 //              high-concurrency mode: N concurrent keep-alive connections
 //              driven by one epoll client loop (one request in flight per
@@ -292,100 +290,6 @@ int run_repeat(bool smoke) {
 }
 
 // -----------------------------------------------------------------------
-// --batch: framing overhead. The same cheap request mix goes over the wire
-// once per frame, then packed into batch frames; both answer streams are
-// byte-checked (the batch one against the direct batch computation).
-
-int run_batch(bool smoke) {
-  const int rounds = smoke ? 20 : 200;
-
-  server::TestServer fixture = make_fixture();
-
-  const std::string items =
-      "[{\"type\":\"health\"},"
-      "{\"type\":\"dpm\",\"params\":{\"yield\":0.95,"
-      "\"defect_coverage\":0.99}},"
-      "{\"type\":\"detectability\",\"params\":{\"kind\":\"bridge\","
-      "\"category\":\"cell-node-bitline\",\"resistance\":1000,"
-      "\"vdd\":1.0,\"period\":1e-07}},"
-      "{\"type\":\"dpm\",\"params\":{\"yield\":0.9,"
-      "\"defect_coverage\":0.95}},"
-      "{\"type\":\"health\"}]";
-  const std::vector<std::string> single_lines = {
-      "{\"v\":1,\"id\":1,\"type\":\"health\"}",
-      "{\"v\":1,\"id\":2,\"type\":\"dpm\",\"params\":"
-      "{\"yield\":0.95,\"defect_coverage\":0.99}}",
-      "{\"v\":1,\"id\":3,\"type\":\"detectability\",\"params\":"
-      "{\"kind\":\"bridge\",\"category\":\"cell-node-bitline\","
-      "\"resistance\":1000,\"vdd\":1.0,\"period\":1e-07}}",
-      "{\"v\":1,\"id\":4,\"type\":\"dpm\",\"params\":"
-      "{\"yield\":0.9,\"defect_coverage\":0.95}}",
-      "{\"v\":1,\"id\":5,\"type\":\"health\"}",
-  };
-  const std::string batch_line =
-      "{\"v\":1,\"id\":9,\"type\":\"batch\",\"requests\":" + items + "}";
-  const int items_per_batch = static_cast<int>(single_lines.size());
-  std::printf("bench_server --batch: %d workers on 127.0.0.1:%d, %d rounds "
-              "of %d items\n",
-              fixture.server.config().workers, fixture.server.port(), rounds,
-              items_per_batch);
-
-  std::vector<std::string> single_expected;
-  for (const auto& line : single_lines)
-    single_expected.push_back(fixture.expected_response(line));
-  const std::string batch_expected = fixture.expected_response(batch_line);
-
-  long mismatches = 0;
-  double singles_s = 0.0;
-  double batch_s = 0.0;
-  try {
-    server::Client client(fixture.client_config());
-    const auto singles_start = std::chrono::steady_clock::now();
-    for (int round = 0; round < rounds; ++round)
-      for (std::size_t i = 0; i < single_lines.size(); ++i)
-        if (client.roundtrip(single_lines[i]) != single_expected[i])
-          ++mismatches;
-    singles_s = seconds_since(singles_start);
-
-    const auto batch_start = std::chrono::steady_clock::now();
-    for (int round = 0; round < rounds; ++round)
-      if (client.roundtrip(batch_line) != batch_expected) ++mismatches;
-    batch_s = seconds_since(batch_start);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "bench_server --batch: %s\n", e.what());
-    ++mismatches;
-  }
-  fixture.server.stop();
-
-  const long total_items = static_cast<long>(rounds) * items_per_batch;
-  const double singles_ips =
-      singles_s > 0.0 ? static_cast<double>(total_items) / singles_s : 0.0;
-  const double batch_ips =
-      batch_s > 0.0 ? static_cast<double>(total_items) / batch_s : 0.0;
-  const bool identical = mismatches == 0;
-
-  std::printf("\n  items per mode ............................ %ld\n",
-              total_items);
-  std::printf("  one-request-per-frame ..................... %.0f items/s\n",
-              singles_ips);
-  std::printf("  batch frames (%d items each) .............. %.0f items/s\n",
-              items_per_batch, batch_ips);
-  std::printf("  batch / singles speedup ................... %.2fx\n",
-              singles_ips > 0.0 ? batch_ips / singles_ips : 0.0);
-  std::printf("  responses identical to direct calls ....... %s\n\n",
-              identical ? "HOLDS" : "DEVIATES");
-
-  std::printf("BENCH_JSON {\"bench\":\"server\",\"mode\":\"batch\","
-              "\"workers\":%d,\"rounds\":%d,\"items_per_batch\":%d,"
-              "\"singles_items_per_s\":%.1f,\"batch_items_per_s\":%.1f,"
-              "\"mismatches\":%ld,\"identical\":%s}\n",
-              fixture.server.config().workers, rounds, items_per_batch,
-              singles_ips, batch_ips, mismatches,
-              identical ? "true" : "false");
-  return identical ? 0 : 1;
-}
-
-// -----------------------------------------------------------------------
 // --connections: the 10k-keep-alive story. One epoll loop drives N
 // nonblocking connections, each cycling request -> response `rounds`
 // times; every response is byte-checked. With the old one-worker-per-
@@ -593,7 +497,6 @@ int main(int argc, char** argv) {
   int connections = 0;
   bool smoke = false;
   bool repeat_mode = false;
-  bool batch_mode = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -601,8 +504,6 @@ int main(int argc, char** argv) {
       requests_per_client = 40;
     } else if (std::strcmp(argv[i], "--repeat") == 0) {
       repeat_mode = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      batch_mode = true;
     } else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
       clients = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
@@ -613,6 +514,5 @@ int main(int argc, char** argv) {
   }
   if (connections > 0) return run_connections(connections, smoke);
   if (repeat_mode) return run_repeat(smoke);
-  if (batch_mode) return run_batch(smoke);
   return run_mixed(clients, requests_per_client);
 }

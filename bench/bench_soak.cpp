@@ -1,10 +1,10 @@
 // Production traffic soak for memstressd: N client threads replay a
 // zipf-skewed mix of every request type against an in-process server —
-// repeat queries that exercise the result cache, batch frames, cold
-// schedule storms that never repeat a cache key — while the harness
-// optionally layers chaos injection, connection churn and server
-// kill/resume cycles on top. Every response is byte-checked against a
-// direct library call or classified into a structured error bucket;
+// repeat queries that exercise the result cache, cold schedule storms
+// that never repeat a cache key — while the harness optionally layers
+// chaos injection, connection churn and server kill/resume cycles on top.
+// Every response is byte-checked against a direct library call or
+// classified into a structured error bucket;
 // nothing is silently dropped, which is what "zero stuck requests" means
 // here: issued == accounted when the run ends.
 //
@@ -111,7 +111,7 @@ struct PooledRequest {
 
 // The hot working set the zipf sampler draws from: many distinct cacheable
 // keys (so the skewed head hits the result cache while the tail keeps
-// missing and evicting), the heavy schedule estimator, and batch frames.
+// missing and evicting) and the heavy schedule estimator.
 // Expected frames are computed once via direct library calls — the chaos
 // site lives in the server's request path, never here.
 std::vector<PooledRequest> build_hot_pool(const SoakServer& soak) {
@@ -155,22 +155,6 @@ std::vector<PooledRequest> build_hot_pool(const SoakServer& soak) {
                   400 + s, s);
     add("schedule", line);
   }
-  // Batch frames: several sub-requests in one syscall round trip, the shape
-  // the PR-5 batching work optimizes. Expected via the same direct path.
-  add("batch",
-      "{\"v\":1,\"id\":500,\"type\":\"batch\",\"params\":{\"requests\":["
-      "{\"type\":\"health\",\"params\":{}},"
-      "{\"type\":\"dpm\",\"params\":{\"yield\":0.95,"
-      "\"defect_coverage\":0.99}},"
-      "{\"type\":\"coverage\",\"params\":{\"geometry\":{\"x_rows\":64,"
-      "\"y_columns\":32,\"bits_per_word\":4}}}]}}");
-  add("batch",
-      "{\"v\":1,\"id\":501,\"type\":\"batch\",\"params\":{\"requests\":["
-      "{\"type\":\"dpm\",\"params\":{\"yield\":0.93,"
-      "\"defect_coverage\":0.98}},"
-      "{\"type\":\"detectability\",\"params\":{\"kind\":\"open\","
-      "\"category\":\"cell-internal\",\"resistance\":1e6,\"vdd\":1.95,"
-      "\"period\":1e-07}}]}}");
   return pool;
 }
 

@@ -3,16 +3,7 @@
 //   memstress_client [--addr A] [--port N] [--timeout-ms T] <type> [params]
 //
 //   type    coverage | dpm | schedule | detectability | metrics | health
-//           | batch
 //   params  JSON object, e.g. '{"geometry":{"x_rows":1024}}'
-//
-// For `batch`, params may be a JSON *array* of sub-requests; it is wrapped
-// into the {"requests":[...]} shape the daemon expects, so a bulk sweep is
-// one line:
-//
-//   MEMSTRESS_PORT=7733 ./build/examples/memstress_client batch \
-//       '[{"type":"dpm","params":{"yield":0.95,"defect_coverage":0.99}},
-//         {"type":"health"}]'
 //
 // Prints the result document (one line of JSON) on success; on an error
 // response prints the structured code/message and exits nonzero. The
@@ -38,10 +29,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: memstress_client [--addr A] [--port N] "
                "[--timeout-ms T] <type> [json-params]\n"
-               "types: coverage dpm schedule detectability metrics health "
-               "batch\n"
-               "       (batch accepts a JSON array of sub-requests as "
-               "params)\n");
+               "types: coverage dpm schedule detectability metrics health\n");
   return 2;
 }
 
@@ -77,14 +65,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    server::Json params = server::Json::parse(params_text);
-    if (type == "batch" && params.is_array()) {
-      // Convenience: a bare array of sub-requests becomes the "requests"
-      // field, matching Client::batch()'s wire shape.
-      server::Json wrapped = server::Json::object();
-      wrapped.set("requests", std::move(params));
-      params = std::move(wrapped);
-    }
+    const server::Json params = server::Json::parse(params_text);
     server::Client client(config);
     const server::Json result = client.request(type, params);
     std::printf("%s\n", result.dump().c_str());

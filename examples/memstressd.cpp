@@ -1,8 +1,8 @@
 // memstressd: serve the characterization/DPM pipeline to many clients.
 //
 // Characterizes (or cache-loads) the detectability database once, then
-// answers coverage / dpm / schedule / detectability / metrics / health /
-// batch requests over newline-delimited JSON until SIGINT, which drains
+// answers coverage / dpm / schedule / detectability / metrics / health
+// requests over newline-delimited JSON until SIGINT, which drains
 // in-flight requests and exits 130. A cache file whose fingerprint does not
 // match the pipeline's CharacterizeSpec is rejected (with a warning) and
 // the daemon re-characterizes — a stale cache can slow startup, never skew
@@ -30,7 +30,6 @@
 //                                 from RLIMIT_NOFILE after raising it)
 //   MEMSTRESS_CACHE_ENTRIES       result-cache entries     (default 1024,
 //                                 0 disables caching)
-//   MEMSTRESS_BATCH_MAX           max sub-requests per batch (default 256)
 //   MEMSTRESS_TECHNOLOGY          backend the node characterizes and serves:
 //                                 sram6t (default), stt_mram or undervolt
 //

@@ -181,12 +181,21 @@ Json Client::request(const std::string& type, const Json& params) {
   };
   int backoff_ms = config_.backoff_initial_ms;
   for (int attempt = 0;; ++attempt) {
-    const Response response = parse_response(exchange(line));
+    Response response = parse_response(exchange(line));
+    if (!response.ok && response.error_code == "idle_timeout") {
+      // A stale farewell: the server timed this connection out while it sat
+      // idle, queued the notice and closed. It only does that with nothing
+      // in flight and reads nothing after the notice, so `line` was never
+      // seen — resend it once on a fresh connection.
+      disconnect();
+      response = parse_response(exchange(line));
+    }
     if (response.ok) return response.result;
     if (response.error_code == "busy" && attempt < config_.max_retries &&
         !budget_exhausted(backoff_ms)) {
-      // The server closed the connection after the busy reply; back off,
-      // then reconnect and try again. The backoff doubles up to
+      // Back off, then reconnect and try again: a shed at the
+      // max_connections door closed the connection (an in-flight-cap or
+      // queue-depth shed leaves it open). The backoff doubles up to
       // backoff_max_ms, and the whole retry loop is bounded by
       // retry_budget_ms — overload throttles the caller, never wedges it.
       disconnect();
@@ -198,42 +207,6 @@ Json Client::request(const std::string& type, const Json& params) {
     }
     throw ServerError(response.error_code, response.error_message);
   }
-}
-
-std::vector<BatchOutcome> Client::batch(
-    const std::vector<BatchRequest>& requests) {
-  Json items = Json::array();
-  for (const BatchRequest& sub : requests) {
-    Json item = Json::object();
-    item.set("type", Json(sub.type));
-    item.set("params", sub.params);
-    items.push_back(std::move(item));
-  }
-  Json params = Json::object();
-  params.set("requests", std::move(items));
-  // request() supplies the envelope and the busy-retry policy; a batch is
-  // just one more request type at the frame level.
-  const Json result = request("batch", params);
-  const std::vector<Json>& results = result.at("results").items();
-  if (results.size() != requests.size())
-    throw Error("Client: batch response has " +
-                std::to_string(results.size()) + " results for " +
-                std::to_string(requests.size()) + " requests");
-  std::vector<BatchOutcome> outcomes;
-  outcomes.reserve(results.size());
-  for (const Json& item : results) {
-    BatchOutcome outcome;
-    outcome.ok = item.at("ok").as_bool();
-    if (outcome.ok) {
-      outcome.result = item.at("result");
-    } else {
-      const Json& error = item.at("error");
-      outcome.error_code = error.at("code").as_string();
-      outcome.error_message = error.string_or("message", "");
-    }
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
 }
 
 }  // namespace memstress::server

@@ -1,12 +1,18 @@
 // Blocking client for memstressd: connect, send one NDJSON request per
 // call, read the one-line response.
 //
-// The only piece with policy in it is busy handling: a "busy" response is
-// the server's backpressure signal (the connection is closed after it), so
-// request() transparently reconnects and retries with exponential backoff
-// up to ClientConfig::max_retries before surfacing the error. Every other
-// error response is thrown as ServerError immediately — the server already
-// said something structured; retrying would not change it.
+// The only piece with policy in it is request()'s retry handling:
+//   * "busy" is the server's backpressure signal. The reactor keeps the
+//     connection open after an in-flight-cap or queue-depth shed and closes
+//     it only after a shed at the max_connections door; request() reconnects
+//     either way (the door needs it) and retries with exponential backoff
+//     up to ClientConfig::max_retries before surfacing the error.
+//   * "idle_timeout" is the farewell the server left on a connection that
+//     sat idle past its keep-alive lifetime, read as the answer to the next
+//     request. The server read nothing after it, so request() resends once
+//     on a fresh connection.
+// Every other error response is thrown as ServerError immediately — the
+// server already said something structured; retrying would not change it.
 #pragma once
 
 #include <string>
@@ -41,22 +47,6 @@ class ConnectionLost : public Error {
   using Error::Error;
 };
 
-/// One sub-request inside a Client::batch() call.
-struct BatchRequest {
-  std::string type;
-  Json params = Json::object();
-};
-
-/// Outcome of one batch item, positional with the submitted requests. A
-/// failed item carries its structured error here instead of throwing — by
-/// design one bad sub-request never hides the other results.
-struct BatchOutcome {
-  bool ok = false;
-  Json result;  ///< valid when ok
-  std::string error_code;
-  std::string error_message;
-};
-
 struct ClientConfig {
   std::string address = "127.0.0.1";
   int port = 0;
@@ -79,16 +69,10 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Send `params` as a `type` request and return the result document.
-  /// Retries (with reconnect + backoff) while the server answers "busy";
-  /// throws ServerError for any other error response and Error for
-  /// transport failures.
+  /// Retries (with reconnect + backoff) while the server answers "busy" and
+  /// resends once after a stale "idle_timeout" farewell; throws ServerError
+  /// for any other error response and Error for transport failures.
   Json request(const std::string& type, const Json& params = Json::object());
-
-  /// Send every sub-request in one "batch" frame (one syscall round trip
-  /// instead of N) and return the positional outcomes. Frame-level errors —
-  /// busy (after the retries), an oversized batch, transport failures —
-  /// still throw; per-item failures come back as BatchOutcome errors.
-  std::vector<BatchOutcome> batch(const std::vector<BatchRequest>& requests);
 
   /// Raw exchange for tests: send exactly `line` (plus the newline) on a
   /// fresh-or-existing connection and return the raw response line. No

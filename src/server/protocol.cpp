@@ -553,14 +553,6 @@ Request parse_request(const std::string& line) {
       throw ProtocolError("\"params\" must be an object");
     request.params = *params;
   }
-  if (const Json* requests = doc.find("requests")) {
-    // Batch convenience shape: {"type":"batch","requests":[...]} — the
-    // sub-request list may ride at the top level instead of inside params.
-    if (request.params.find("requests"))
-      throw ProtocolError(
-          "\"requests\" given both at the top level and in \"params\"");
-    request.params.set("requests", *requests);
-  }
   return request;
 }
 

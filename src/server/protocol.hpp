@@ -9,12 +9,6 @@
 //   request:  {"v":1,"id":7,"type":"coverage","params":{...}}
 //   response: {"v":1,"id":7,"ok":true,"result":{...}}
 //             {"v":1,"id":7,"ok":false,"error":{"code":"busy","message":"..."}}
-//   batch:    {"v":1,"id":8,"type":"batch","requests":[{"type":...},...]}
-//             -> {"v":1,"id":8,"ok":true,"result":{"results":[
-//                  {"ok":true,"result":{...}},
-//                  {"ok":false,"error":{"code":...,"message":...}}, ...]}}
-//             (one positional outcome per sub-request; a bad sub-request
-//             yields a structured per-item error, never poisons the rest)
 //   shards:   the distributed request types `characterize_range` and
 //             `study_shard` (see server/shard_codec.hpp for the spec/config
 //             documents) execute one shard of the canonical grid or study

@@ -50,8 +50,6 @@ ServerConfig ServerConfig::from_env() {
       "MEMSTRESS_SEND_BUFFER_BYTES", 0, 1 << 26, config.send_buffer_bytes));
   config.cache_entries = static_cast<int>(env_int_or(
       "MEMSTRESS_CACHE_ENTRIES", 0, 1 << 22, config.cache_entries));
-  config.batch_max = static_cast<int>(
-      env_int_or("MEMSTRESS_BATCH_MAX", 1, 65536, config.batch_max));
   config.metrics_stream_ms = static_cast<int>(env_int_or(
       "MEMSTRESS_METRICS_STREAM_MS", 10, 3600000, config.metrics_stream_ms));
   config.bind_retries = static_cast<int>(

@@ -121,8 +121,6 @@ struct ServerConfig {
   int metrics_stream_ms = 1000;
   /// Result-cache entries (MEMSTRESS_CACHE_ENTRIES, 0 disables the cache).
   int cache_entries = 1024;
-  /// Largest accepted batch "requests" list (MEMSTRESS_BATCH_MAX).
-  int batch_max = 256;
   /// Bounded bind retry for EADDRINUSE on a pinned port
   /// (MEMSTRESS_BIND_RETRIES / MEMSTRESS_BIND_RETRY_MS). A restart can race
   /// the kernel's release of the old listener even with SO_REUSEADDR (the
@@ -138,7 +136,7 @@ struct ServerConfig {
   /// The ServiceInfo slice of this configuration, for constructing the
   /// MemstressService the server will front.
   ServiceInfo service_info() const {
-    return ServiceInfo{workers, queue_depth, cache_entries, batch_max};
+    return ServiceInfo{workers, queue_depth, cache_entries};
   }
 };
 

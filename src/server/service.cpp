@@ -260,7 +260,6 @@ Json MemstressService::health() const {
   // byte-identity invariant the tests pin. Live numbers go through the
   // `metrics` request instead (server.cache_* counters).
   out.set("cache_entries", Json(cache_.capacity()));
-  out.set("batch_max", Json(info_.batch_max));
   return out;
 }
 
@@ -388,97 +387,11 @@ Json MemstressService::handle(const Request& request,
     return characterize_range(request.params, context);
   if (request.type == "study_shard")
     return study_shard(request.params, context);
-  if (request.type == "batch")
-    // Round-trip through the parser so handle() keeps returning a document.
-    // dump(parse(s)) == s for anything this codebase serializes, so this
-    // stays byte-identical to the serialized fast path.
-    return Json::parse(batch_serialized(request.params, context));
   throw ProtocolError("unknown request type \"" + request.type + "\"");
-}
-
-namespace {
-
-/// Decode one batch sub-request: {"type":"...","params":{...}} — the same
-/// fields as a top-level request, minus the envelope (version and id belong
-/// to the enclosing frame).
-Request parse_batch_item(const Json& item) {
-  if (!item.is_object()) throw ProtocolError("batch item must be an object");
-  Request sub;
-  const Json* type = item.find("type");
-  if (!type || !type->is_string() || type->as_string().empty())
-    throw ProtocolError("batch item needs a non-empty string \"type\"");
-  sub.type = type->as_string();
-  if (const Json* params = item.find("params")) {
-    if (!params->is_object())
-      throw ProtocolError("\"params\" must be an object");
-    sub.params = *params;
-  }
-  return sub;
-}
-
-/// One failed batch item, serialized: {"ok":false,"error":{...}}. Built via
-/// Json so the message is escaped exactly like every other error on the
-/// wire.
-std::string batch_item_error(const std::string& code,
-                             const std::string& message) {
-  Json error = Json::object();
-  error.set("code", Json(code));
-  error.set("message", Json(message));
-  Json item = Json::object();
-  item.set("ok", Json(false));
-  item.set("error", std::move(error));
-  return item.dump();
-}
-
-}  // namespace
-
-std::string MemstressService::batch_serialized(
-    const Json& params, const RequestContext& context) const {
-  const std::vector<Json>& items = params.at("requests").items();
-  if (items.size() > static_cast<std::size_t>(info_.batch_max))
-    throw ProtocolError("batch of " + std::to_string(items.size()) +
-                        " requests exceeds the limit of " +
-                        std::to_string(info_.batch_max) +
-                        " (MEMSTRESS_BATCH_MAX)");
-  std::string out = "{\"results\":[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ',';
-    // Errors are per item and positional — "request:<n>:" numbering in the
-    // same 1-based style the connection uses for frames — so one bad
-    // sub-request never poisons the rest of the batch.
-    const std::string prefix = "request:" + std::to_string(i + 1) + ": ";
-    if (context.past_deadline()) {
-      // The frame's deadline passed mid-batch: stop computing and report
-      // the remaining items as timed out instead of burning worker time.
-      out += batch_item_error("timeout", prefix + "request deadline exceeded");
-      continue;
-    }
-    try {
-      const Request sub = parse_batch_item(items[i]);
-      if (sub.type == "batch")
-        throw ProtocolError("batch requests cannot nest");
-      // Fully computed before anything is appended: a throw from the
-      // handler must not leave a half-written item in the output.
-      const std::string payload = handle_serialized(sub, context);
-      out += "{\"ok\":true,\"result\":";
-      out += payload;
-      out += '}';
-    } catch (const ProtocolError& e) {
-      out += batch_item_error("bad_request", prefix + e.what());
-    } catch (const CancelledError& e) {
-      out += batch_item_error("shutting_down", prefix + e.what());
-    } catch (const Error& e) {
-      out += batch_item_error("internal", prefix + e.what());
-    }
-  }
-  out += "]}";
-  return out;
 }
 
 std::string MemstressService::handle_serialized(
     const Request& request, const RequestContext& context) const {
-  if (request.type == "batch")
-    return batch_serialized(request.params, context);
   // Only the pure, deterministic request types are cacheable. metrics and
   // health report live state; sleep exists to be slow; detectability is
   // already a single indexed lookup — caching it would only duplicate the

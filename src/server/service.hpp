@@ -27,16 +27,13 @@ namespace memstress::server {
 
 /// Static facts reported by the `health` handler (the service cannot know
 /// them itself; the server passes its resolved configuration in), plus the
-/// serving knobs the service owns: the result-cache capacity and the batch
-/// size bound.
+/// serving knob the service owns: the result-cache capacity.
 struct ServiceInfo {
   int workers = 0;
   int queue_depth = 0;
   /// Result-cache entries across all shards (MEMSTRESS_CACHE_ENTRIES);
   /// 0 disables caching entirely.
   int cache_entries = 1024;
-  /// Largest accepted "requests" list in a batch frame (MEMSTRESS_BATCH_MAX).
-  int batch_max = 256;
 };
 
 /// Per-request execution context: cooperative cancellation (server
@@ -73,10 +70,9 @@ class MemstressService {
 
   /// The serving path: returns handle(request, context).dump(), serving
   /// `coverage`/`dpm`/`schedule` through the result cache (keyed by the
-  /// canonical serialized params, single-flight on concurrent misses) and
-  /// dispatching `batch` across its sub-requests. The returned payload is
-  /// byte-identical to direct computation whether it was a hit, a miss or a
-  /// coalesced wait.
+  /// canonical serialized params, single-flight on concurrent misses). The
+  /// returned payload is byte-identical to direct computation whether it was
+  /// a hit, a miss or a coalesced wait.
   std::string handle_serialized(const Request& request,
                                 const RequestContext& context) const;
 
@@ -113,12 +109,6 @@ class MemstressService {
   Json sleep_ms(const Json& params, const RequestContext& context) const;
 
  private:
-  /// Serialize the "batch" type: run every sub-request (each through the
-  /// cache path), collecting one positional outcome per item — a bad item
-  /// becomes a structured per-item error instead of failing the frame.
-  std::string batch_serialized(const Json& params,
-                               const RequestContext& context) const;
-
   /// Enforce the optional "technology" request field: when present it must
   /// name the technology of the database this node serves, otherwise the
   /// request is a bad_request. Absent = caller takes whatever the node has

@@ -16,10 +16,9 @@ const std::vector<std::string>& dictionary() {
   static const std::vector<std::string> words = {
       // Envelope structure.
       "{\"v\":1,", "\"v\":", "\"id\":", "\"type\":", "\"params\":",
-      "\"requests\":",
       // Every request type, including the hidden one.
       "\"coverage\"", "\"dpm\"", "\"schedule\"", "\"detectability\"",
-      "\"metrics\"", "\"health\"", "\"sleep\"", "\"batch\"",
+      "\"metrics\"", "\"health\"", "\"sleep\"",
       // Handler parameter keys.
       "\"yield\":", "\"defect_coverage\":", "\"geometry\":", "\"x_rows\":",
       "\"y_columns\":", "\"bits_per_word\":", "\"cells\":",
@@ -381,9 +380,6 @@ std::vector<std::string> builtin_seeds() {
       "{\"technology\":\"stt_mram\",\"kind\":\"mtj\","
       "\"category\":\"retention\",\"resistance\":1300,\"vdd\":1.0,"
       "\"period\":1e-07}}",
-      "{\"v\":1,\"id\":8,\"type\":\"batch\",\"requests\":"
-      "[{\"type\":\"health\"},{\"type\":\"dpm\",\"params\":"
-      "{\"yield\":0.9,\"defect_coverage\":0.95}}]}",
       // Structured near-misses: valid JSON, wrong envelope.
       "{\"v\":2,\"id\":1,\"type\":\"health\"}",
       "{\"id\":1,\"type\":\"health\"}",

@@ -113,8 +113,8 @@ std::string minimize(const server::MemstressService& service,
 /// FNV-1a content hash, used to name artifacts (crash-<hash>.txt).
 std::string content_hash(const std::string& data);
 
-/// Built-in seed corpus: one well-formed request of every protocol type
-/// (including batch and the hidden sleep), plus a few structured near-miss
+/// Built-in seed corpus: one well-formed request of every client-facing
+/// protocol type plus the hidden sleep, and a few structured near-miss
 /// frames.
 std::vector<std::string> builtin_seeds();
 

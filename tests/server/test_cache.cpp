@@ -1,8 +1,6 @@
-// Serving-layer result cache and batch requests: repeat traffic must come
-// back byte-identical to direct computation (hit, miss or coalesced), the
-// single-flight path must compute exactly once under concurrency, and a
-// batch frame must carry per-item outcomes without letting one bad
-// sub-request poison the rest.
+// Serving-layer result cache: repeat traffic must come back byte-identical
+// to direct computation (hit, miss or coalesced), and the single-flight
+// path must compute exactly once under concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -110,7 +108,7 @@ TEST(ServerCache, TinyCapacityEvictsButNeverAnswersWrong) {
 TEST(ServerCache, SingleFlightComputesOnceAcrossThreads) {
   // Service-level, no sockets: K threads ask for the identical schedule
   // concurrently; the cache must run the optimizer exactly once.
-  auto service = make_test_service(ServiceInfo{4, 64, 1024, 256});
+  auto service = make_test_service(ServiceInfo{4, 64, 1024});
   const Request request = parse_request(kScheduleLine);
   const std::string expected = service->handle(request, {}).dump();
 
@@ -159,127 +157,6 @@ TEST(ServerCache, HealthReportsCacheConfiguration) {
   Client client(fixture.client_config());
   const Json health = client.request("health");
   EXPECT_EQ(health.at("cache_entries").as_number(), 1024.0);
-  EXPECT_EQ(health.at("batch_max").as_number(), 256.0);
-  fixture.server.stop();
-}
-
-// ---------------------------------------------------------------------------
-// Batch requests.
-
-TEST(ServerBatch, MixedValidAndInvalidItemsGetPositionalOutcomes) {
-  TestServer fixture;
-  Client client(fixture.client_config());
-  Json bad_dpm = Json::object();
-  bad_dpm.set("yield", Json(2.0));  // out of range
-  bad_dpm.set("defect_coverage", Json(0.99));
-  Json good_dpm = Json::object();
-  good_dpm.set("yield", Json(0.95));
-  good_dpm.set("defect_coverage", Json(0.99));
-
-  const std::vector<BatchOutcome> outcomes = client.batch({
-      {"health", Json::object()},
-      {"dpm", good_dpm},
-      {"dpm", bad_dpm},
-      {"no_such_type", Json::object()},
-  });
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_EQ(outcomes[0].result.at("status").as_string(), "ok");
-  EXPECT_TRUE(outcomes[1].ok);
-  EXPECT_GT(outcomes[1].result.at("dpm").as_number(), 0.0);
-  EXPECT_FALSE(outcomes[2].ok);
-  EXPECT_EQ(outcomes[2].error_code, "bad_request");
-  EXPECT_NE(outcomes[2].error_message.find("request:3:"), std::string::npos)
-      << outcomes[2].error_message;
-  EXPECT_FALSE(outcomes[3].ok);
-  EXPECT_EQ(outcomes[3].error_code, "bad_request");
-  EXPECT_NE(outcomes[3].error_message.find("request:4:"), std::string::npos)
-      << outcomes[3].error_message;
-  fixture.server.stop();
-}
-
-TEST(ServerBatch, WireFrameMatchesDirectComputation) {
-  TestServer fixture;
-  // The issue's literal wire shape: "requests" at the top level.
-  const std::string line =
-      "{\"v\":1,\"id\":7,\"type\":\"batch\",\"requests\":["
-      "{\"type\":\"health\"},"
-      "{\"type\":\"dpm\",\"params\":{\"yield\":0.95,"
-      "\"defect_coverage\":0.99}},"
-      "{\"type\":\"bogus\"}]}";
-  Client client(fixture.client_config());
-  EXPECT_EQ(client.roundtrip(line), fixture.expected_response(line));
-  fixture.server.stop();
-}
-
-TEST(ServerBatch, CacheableSubRequestsGoThroughTheCache) {
-  TestServer fixture;
-  Client client(fixture.client_config());
-  Json dpm_params = Json::object();
-  dpm_params.set("yield", Json(0.95));
-  dpm_params.set("defect_coverage", Json(0.99));
-  const std::vector<BatchRequest> requests = {{"dpm", dpm_params},
-                                              {"dpm", dpm_params}};
-  client.batch(requests);
-  client.batch(requests);
-  const auto stats = fixture.service->cache().stats();
-  // First frame: one miss + one hit (same key twice); second frame: hits.
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 3);
-  fixture.server.stop();
-}
-
-TEST(ServerBatch, EmptyBatchYieldsEmptyResults) {
-  TestServer fixture;
-  Client client(fixture.client_config());
-  EXPECT_TRUE(client.batch({}).empty());
-  fixture.server.stop();
-}
-
-TEST(ServerBatch, OversizedBatchIsRejectedWholeWithTheLimit) {
-  ServerConfig config;
-  config.batch_max = 2;
-  TestServer fixture(config);
-  Client client(fixture.client_config());
-  try {
-    client.batch({{"health", Json::object()},
-                  {"health", Json::object()},
-                  {"health", Json::object()}});
-    FAIL() << "expected the oversized batch to be rejected";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), "bad_request");
-    EXPECT_NE(std::string(e.what()).find("MEMSTRESS_BATCH_MAX"),
-              std::string::npos)
-        << e.what();
-  }
-  fixture.server.stop();
-}
-
-TEST(ServerBatch, NestedBatchIsAPerItemError) {
-  TestServer fixture;
-  Client client(fixture.client_config());
-  const std::vector<BatchOutcome> outcomes = client.batch({
-      {"health", Json::object()},
-      {"batch", Json::object()},
-  });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_EQ(outcomes[1].error_code, "bad_request");
-  EXPECT_NE(outcomes[1].error_message.find("nest"), std::string::npos)
-      << outcomes[1].error_message;
-  fixture.server.stop();
-}
-
-TEST(ServerBatch, MissingRequestsFieldIsABadRequest) {
-  TestServer fixture;
-  Client client(fixture.client_config());
-  try {
-    client.request("batch", Json::object());
-    FAIL() << "expected missing \"requests\" to be rejected";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), "bad_request");
-  }
   fixture.server.stop();
 }
 

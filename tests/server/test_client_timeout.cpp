@@ -1,12 +1,15 @@
 // Client resilience under a misbehaving or overloaded server.
 //
-// Two hazards are pinned here:
+// Three hazards are pinned here:
 //   * A server that stalls mid-response (bytes sent, newline never comes)
 //     must not wedge the client past its receive deadline — the SO_RCVTIMEO
 //     timeout has to fire even though data already arrived.
 //   * Sustained "busy" backpressure must not turn the retry loop into an
 //     unbounded wait: retry_budget_ms caps the total wall time of one
 //     request() including every backoff sleep.
+//   * A keep-alive client that idles past the server's idle timeout must
+//     not read the server's stale farewell as the answer to its next
+//     request, nor fail on the connection the server closed after it.
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -255,6 +258,29 @@ TEST(ClientTimeout, BackoffSleepsAreCappedAtBackoffMax) {
   // Capped sleeps: 10 + 20*5 = 110 ms plus exchange overhead. The uncapped
   // series would need at least 630 ms of sleep alone.
   EXPECT_LT(elapsed, 0.6);
+}
+
+TEST(ClientIdleTimeout, ReusedClientSurvivesTheIdleFarewell) {
+  // The server times the idle connection out: it queues an "idle_timeout"
+  // frame (id 0) and closes. Neither that frame nor the closed socket may
+  // fail a later call: the server read nothing after the farewell, so the
+  // client resends on a fresh connection.
+  ServerConfig server_config;
+  server_config.idle_timeout_ms = 100;
+  TestServer fixture(server_config);
+  Client client(fixture.client_config());
+  EXPECT_EQ(client.request("health").at("status").as_string(), "ok");
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  for (int call = 1; call <= 3; ++call) {
+    try {
+      EXPECT_EQ(client.request("health").at("status").as_string(), "ok");
+    } catch (const Error& e) {
+      ADD_FAILURE() << "call " << call << " after the idle timeout: "
+                    << e.what();
+    }
+  }
+  fixture.server.stop();
 }
 
 }  // namespace

@@ -122,7 +122,37 @@ TEST(ServerLoopback, BadParamsGetStructuredBadRequest) {
     EXPECT_EQ(e.code(), "bad_request");
     EXPECT_NE(std::string(e.what()).find("geometry"), std::string::npos);
   }
-  EXPECT_THROW(client.request("no_such_type"), ServerError);
+
+  // Each rejection echoes the id and leaves the connection serving. The old
+  // batch envelope is rejected like any unknown type; its top-level
+  // "requests" list is an ignored key.
+  struct Case {
+    std::string line;
+    long long id;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"{\"v\":1,\"id\":11,\"type\":\"no_such_type\"}", 11,
+       "unknown request type \"no_such_type\""},
+      {"{\"v\":1,\"id\":12,\"type\":\"batch\",\"requests\":["
+       "{\"type\":\"health\"},{\"type\":\"dpm\",\"params\":"
+       "{\"yield\":0.95,\"defect_coverage\":0.99}}]}",
+       12, "unknown request type \"batch\""},
+      {"{\"v\":1,\"id\":13,\"type\":\"dpm\",\"params\":"
+       "{\"yield\":2.0,\"defect_coverage\":0.99}}",
+       13, "\"yield\" must be in (0, 1]"},
+  };
+  const std::string health = "{\"v\":1,\"id\":99,\"type\":\"health\"}";
+  for (const Case& c : cases) {
+    const Response response = parse_response(client.roundtrip(c.line));
+    EXPECT_FALSE(response.ok) << c.line;
+    EXPECT_EQ(response.error_code, "bad_request") << c.line;
+    EXPECT_EQ(response.id, c.id) << c.line;
+    EXPECT_NE(response.error_message.find(c.message), std::string::npos)
+        << response.error_message;
+    EXPECT_EQ(client.roundtrip(health), fixture.expected_response(health))
+        << c.line;
+  }
 }
 
 TEST(ServerLoopback, OversizedFrameAnswersThenCloses) {
